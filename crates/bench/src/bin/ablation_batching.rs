@@ -13,6 +13,7 @@
 
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::exact_quantile;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -78,10 +79,6 @@ fn burst(hub: &TestHub, servable: &str, n: usize) -> (Duration, Vec<Duration>) {
     (start.elapsed(), latencies)
 }
 
-fn median(v: Vec<Duration>) -> Duration {
-    dlhub_core::metrics::percentile(&v, 0.5).unwrap_or_default()
-}
-
 fn main() {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -104,7 +101,7 @@ fn main() {
                 wall += w;
                 lat.extend(l);
             }
-            let p50 = median(lat);
+            let p50 = exact_quantile(&lat, 0.5).unwrap_or_default();
             let label = if adaptive { "adaptive" } else { "fixed" };
             results.insert((servable, adaptive), p50);
             rows.push(vec![

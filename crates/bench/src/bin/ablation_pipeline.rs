@@ -14,7 +14,7 @@
 
 use dlhub_bench::calibrate_servables;
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
-use dlhub_sim::serving::percentiles;
+use dlhub_core::obs::p5_p50_p95;
 use dlhub_sim::{testbed, SimTime};
 
 const STAGES: [&str; 3] = ["matminer util", "matminer featurize", "matminer model"];
@@ -59,8 +59,8 @@ fn main() {
             .fold(envelope, |acc, stage| acc + stage[i]);
     }
 
-    let (c5, c50, c95) = percentiles(&client_side);
-    let (s5, s50, s95) = percentiles(&server_side);
+    let (c5, c50, c95) = p5_p50_p95(&client_side).expect("non-empty run");
+    let (s5, s50, s95) = p5_p50_p95(&server_side).expect("non-empty run");
     let rows = vec![
         vec![
             "client-side chaining".to_string(),

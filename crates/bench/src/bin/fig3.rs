@@ -9,7 +9,7 @@
 
 use dlhub_bench::calibrate_servables;
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
-use dlhub_sim::serving::percentiles;
+use dlhub_core::obs::p5_p50_p95;
 use dlhub_sim::{testbed, SimTime};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         let samples = profile.run_sequential(&c.model, 100, false, true, 42 + i as u64);
         let series = |f: fn(&dlhub_sim::RequestSample) -> SimTime| {
             let v: Vec<SimTime> = samples.iter().map(f).collect();
-            percentiles(&v)
+            p5_p50_p95(&v).expect("100 samples")
         };
         let (inf5, inf50, inf95) = series(|s| s.inference);
         let (inv5, inv50, inv95) = series(|s| s.invocation);

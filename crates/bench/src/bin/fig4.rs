@@ -7,7 +7,7 @@
 
 use dlhub_bench::calibrate_servables;
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
-use dlhub_sim::serving::percentiles;
+use dlhub_core::obs::exact_quantile;
 use dlhub_sim::testbed;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         let median = |samples: &[dlhub_sim::RequestSample],
                       f: fn(&dlhub_sim::RequestSample) -> dlhub_sim::SimTime| {
             let v: Vec<_> = samples.iter().map(f).collect();
-            percentiles(&v).1
+            exact_quantile(&v, 0.5).expect("non-empty run")
         };
         let inv_off = median(&cold, |s| s.invocation).as_millis();
         let inv_on = median(&warm, |s| s.invocation).as_millis();

@@ -10,7 +10,7 @@
 
 use dlhub_bench::calibrate_servables;
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
-use dlhub_sim::serving::percentiles;
+use dlhub_core::obs::exact_quantile;
 use dlhub_sim::{testbed, ServingProfile, SimTime};
 
 const MODELS: [&str; 2] = ["cifar10", "inception"];
@@ -29,7 +29,8 @@ fn median_times(
     };
     let inv: Vec<SimTime> = samples.iter().map(|s| s.invocation).collect();
     let req: Vec<SimTime> = samples.iter().map(|s| s.request).collect();
-    (percentiles(&inv).1, percentiles(&req).1)
+    let median = |v: &[SimTime]| exact_quantile(v, 0.5).expect("non-empty run");
+    (median(&inv), median(&req))
 }
 
 fn main() {

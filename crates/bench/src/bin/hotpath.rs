@@ -34,6 +34,7 @@ use dlhub_bench::report::{print_table, shape_check, write_json};
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::exact_quantile;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -59,10 +60,6 @@ impl Cell {
     fn req_per_s(&self) -> f64 {
         self.requests as f64 / self.elapsed.as_secs_f64()
     }
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    dlhub_core::metrics::percentile(sorted, p).unwrap_or_default()
 }
 
 fn drive(hub: &TestHub, threads: usize, window: Duration, rtt: Duration, all_hits: bool) -> Cell {
@@ -105,18 +102,17 @@ fn drive(hub: &TestHub, threads: usize, window: Duration, rtt: Duration, all_hit
     let started = Instant::now();
     std::thread::sleep(window);
     stop.store(true, Ordering::Relaxed);
-    let mut all: Vec<Duration> = handles
+    let all: Vec<Duration> = handles
         .into_iter()
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
     let elapsed = started.elapsed();
-    all.sort_unstable();
     Cell {
         threads,
         requests: all.len() as u64,
         elapsed,
-        p50: percentile(&all, 0.50),
-        p99: percentile(&all, 0.99),
+        p50: exact_quantile(&all, 0.50).unwrap_or_default(),
+        p99: exact_quantile(&all, 0.99).unwrap_or_default(),
     }
 }
 

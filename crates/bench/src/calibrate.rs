@@ -29,15 +29,14 @@ fn measure(servable: &dyn Servable, input: &Value, runs: usize) -> Duration {
     servable
         .run(input)
         .expect("calibration input must be valid");
-    let mut samples: Vec<Duration> = (0..runs.max(1))
+    let samples: Vec<Duration> = (0..runs.max(1))
         .map(|_| {
             let start = Instant::now();
             servable.run(input).expect("calibration run");
             start.elapsed()
         })
         .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+    dlhub_core::obs::exact_quantile(&samples, 0.5).expect("at least one run")
 }
 
 fn kb(value: &Value) -> f64 {

@@ -1,12 +1,11 @@
-//! Replica autoscaling from servable profiles.
+//! Replica autoscaling: the closed control loop.
 //!
-//! Fig 7 shows throughput saturating once the Task Manager's
-//! serialized dispatch dominates (`replicas ≈ service / dispatch`);
-//! the paper leaves replica counts "configurable in the Management
+//! The paper leaves replica counts "configurable in the Management
 //! Service" and names "automated tuning of servable execution" as
-//! ongoing work (§VII). [`Autoscaler`] closes that loop: it reads the
-//! live [`ProfileRegistry`] and drives each servable's Parsl pool to
-//! its knee — enough replicas to stay compute-bound, no more.
+//! ongoing work (§VII). [`Reconciler`] closes that loop: it reads
+//! windowed [`ScalingSignals`] and the live [`ProfileRegistry`], and
+//! sizes each servable's Parsl pool to its demand under hysteresis and
+//! cooldowns.
 
 use crate::executor::ParslExecutor;
 use crate::profile::ProfileRegistry;
@@ -17,45 +16,13 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Autoscaling policy bounds.
-#[derive(Debug, Clone)]
-pub struct AutoscalePolicy {
-    /// Lower bound on replicas per servable.
-    pub min_replicas: usize,
-    /// Upper bound on replicas per servable (cluster budget).
-    pub max_replicas: usize,
-    /// Observations required before trusting a profile.
-    pub min_samples: u64,
-}
-
-impl Default for AutoscalePolicy {
-    fn default() -> Self {
-        AutoscalePolicy {
-            min_replicas: 1,
-            max_replicas: 16,
-            min_samples: 5,
-        }
-    }
-}
-
-/// A scaling decision for one servable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScalingDecision {
-    /// Servable id.
-    pub servable: String,
-    /// Replicas before the decision.
-    pub current: usize,
-    /// Replicas the policy wants.
-    pub desired: usize,
-}
-
 /// Read-only windowed inputs a scaling control loop consumes. Every
 /// accessor returns `None` when the underlying signal has no history
 /// yet — callers must treat "no data" as "do not act", never as zero.
 ///
-/// The trait exists so the (future) control loop can be tested against
-/// scripted signal fixtures; production wires [`TelemetrySignals`]
-/// over the telemetry store's [`ControlSignals`] view.
+/// The trait lets the [`Reconciler`] be tested against scripted
+/// signal fixtures; production wires [`TelemetrySignals`] over the
+/// telemetry store's [`ControlSignals`] view.
 pub trait ScalingSignals {
     /// Requests per second answered for `servable` over `window`.
     fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64>;
@@ -124,74 +91,9 @@ impl ScalingSignals for TelemetrySignals {
     }
 }
 
-/// Profile-driven replica autoscaler.
-pub struct Autoscaler {
-    registry: ProfileRegistry,
-    executor: Arc<ParslExecutor>,
-    policy: AutoscalePolicy,
-}
-
-impl Autoscaler {
-    /// Wire an autoscaler to a profile source and the executor whose
-    /// pools it manages.
-    pub fn new(
-        registry: ProfileRegistry,
-        executor: Arc<ParslExecutor>,
-        policy: AutoscalePolicy,
-    ) -> Self {
-        Autoscaler {
-            registry,
-            executor,
-            policy,
-        }
-    }
-
-    /// Desired replica count for one servable, or `None` if its
-    /// profile is missing or too thin to act on.
-    pub fn desired(&self, servable: &str) -> Option<usize> {
-        let profile = self.registry.get(servable)?;
-        if profile.samples < self.policy.min_samples {
-            return None;
-        }
-        Some(
-            profile
-                .suggested_replicas(self.policy.max_replicas)
-                .max(self.policy.min_replicas),
-        )
-    }
-
-    /// Evaluate every profiled servable and rescale pools that are off
-    /// their knee. Returns the decisions that changed something.
-    pub fn reconcile(&self) -> Vec<ScalingDecision> {
-        let mut changed = Vec::new();
-        for servable in self.registry.servables() {
-            let Some(desired) = self.desired(&servable) else {
-                continue;
-            };
-            // Quarantined replicas are not capacity: a knee that says
-            // "1 replica" while that one replica sits in quarantine
-            // would leave zero healthy replicas behind a profiled
-            // (i.e. trafficked) servable. Clamp so at least one
-            // replica stays healthy even if that exceeds the knee.
-            let desired = desired.max(self.executor.quarantined(&servable) + 1);
-            let current = self.executor.replicas(&servable);
-            if current != desired {
-                self.executor.scale(&servable, desired);
-                changed.push(ScalingDecision {
-                    servable,
-                    current,
-                    desired,
-                });
-            }
-        }
-        changed
-    }
-}
-
 /// Hysteresis and actuation policy for the closed control loop
-/// ([`Reconciler`]). The knee policy ([`AutoscalePolicy`]) answers
-/// "how many replicas until dispatch dominates"; this one answers
-/// "when is it safe to act on live signals".
+/// ([`Reconciler`]): how many replicas demand calls for, and when it
+/// is safe to act on live signals.
 #[derive(Debug, Clone)]
 pub struct ControlPolicy {
     /// Lower bound on replicas while a servable has traffic.
@@ -484,17 +386,6 @@ mod tests {
     use dlhub_container::Cluster;
     use std::time::Duration;
 
-    fn setup() -> (ProfileRegistry, Arc<ParslExecutor>, Autoscaler) {
-        let registry = ProfileRegistry::new();
-        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
-        let scaler = Autoscaler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            AutoscalePolicy::default(),
-        );
-        (registry, executor, scaler)
-    }
-
     fn feed(registry: &ProfileRegistry, servable: &str, inference_ms: u64, invocation_ms: u64) {
         for _ in 0..10 {
             registry.record(
@@ -504,63 +395,6 @@ mod tests {
                 1,
             );
         }
-    }
-
-    #[test]
-    fn heavy_servables_scale_to_the_knee() {
-        let (registry, executor, scaler) = setup();
-        // 40ms inference behind 3ms overhead: knee ≈ 14.
-        feed(&registry, "u/inception", 40, 43);
-        executor.scale("u/inception", 1);
-        let decisions = scaler.reconcile();
-        assert_eq!(decisions.len(), 1);
-        let d = &decisions[0];
-        assert_eq!(d.current, 1);
-        assert!((12..=16).contains(&d.desired), "desired {}", d.desired);
-        assert_eq!(executor.replicas("u/inception"), d.desired);
-        // Second reconcile is a no-op: already at the knee.
-        assert!(scaler.reconcile().is_empty());
-    }
-
-    #[test]
-    fn cheap_servables_stay_at_min() {
-        let (registry, executor, scaler) = setup();
-        feed(&registry, "u/util", 0, 3);
-        executor.scale("u/util", 8);
-        let decisions = scaler.reconcile();
-        assert_eq!(decisions[0].desired, 1);
-        assert_eq!(executor.replicas("u/util"), 1);
-    }
-
-    #[test]
-    fn thin_profiles_are_not_acted_on() {
-        let (registry, _executor, scaler) = setup();
-        registry.record(
-            "u/new",
-            Duration::from_millis(40),
-            Duration::from_millis(43),
-            1,
-        );
-        assert_eq!(scaler.desired("u/new"), None);
-        assert!(scaler.reconcile().is_empty());
-        assert_eq!(scaler.desired("u/ghost"), None);
-    }
-
-    #[test]
-    fn max_replicas_caps_the_knee() {
-        let registry = ProfileRegistry::new();
-        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
-        let scaler = Autoscaler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            AutoscalePolicy {
-                max_replicas: 4,
-                ..AutoscalePolicy::default()
-            },
-        );
-        feed(&registry, "u/huge", 400, 403); // knee would be ~134
-        scaler.reconcile();
-        assert_eq!(executor.replicas("u/huge"), 4);
     }
 
     use crate::executor::{Executor, HealthPolicy};
@@ -780,32 +614,6 @@ mod tests {
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].to, 2);
         assert_eq!(applied[0].reason, DecisionReason::ScaleUp);
-    }
-
-    #[test]
-    fn autoscaler_clamps_desired_against_quarantine() {
-        let registry = ProfileRegistry::new();
-        let executor = Arc::new(
-            ParslExecutor::new(Cluster::petrelkube(), 1).with_health(Some(HealthPolicy {
-                quarantine_after: 1,
-                quarantine_for: Duration::from_secs(5),
-            })),
-        );
-        let scaler = Autoscaler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            AutoscalePolicy::default(),
-        );
-        // Cheap profile: the knee says 1 replica.
-        feed(&registry, "u/sick", 0, 3);
-        quarantine_one_replica(&executor, "u/sick");
-        let decisions = scaler.reconcile();
-        assert_eq!(decisions.len(), 1);
-        assert_eq!(
-            decisions[0].desired, 2,
-            "quarantined replica counted as capacity"
-        );
-        assert_eq!(executor.replicas("u/sick"), 2);
     }
 
     #[test]

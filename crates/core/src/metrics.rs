@@ -1,4 +1,6 @@
 //! The paper's three measurement points (§V-A) and summary helpers.
+//! Percentiles of raw series come from [`dlhub_obs::p5_p50_p95`] and
+//! [`dlhub_obs::exact_quantile`], the workspace's one rank rule.
 
 use std::time::Duration;
 
@@ -23,32 +25,6 @@ pub struct Timings {
     pub cache_hit: bool,
 }
 
-/// Single percentile (`0.0 ..= 1.0`, nearest-rank) of a duration
-/// series. `None` on an empty series.
-pub fn percentile(series: &[Duration], q: f64) -> Option<Duration> {
-    if series.is_empty() {
-        return None;
-    }
-    let mut sorted = series.to_vec();
-    sorted.sort();
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    Some(sorted[idx])
-}
-
-/// Percentile summary of a duration series: `(p5, median, p95)` —
-/// exactly the statistics the paper's error bars show. `None` on an
-/// empty series (earlier versions panicked here while [`mean`]
-/// silently returned zero; both now report emptiness the same way).
-pub fn percentile_summary(series: &[Duration]) -> Option<(Duration, Duration, Duration)> {
-    if series.is_empty() {
-        return None;
-    }
-    let mut sorted = series.to_vec();
-    sorted.sort();
-    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    Some((at(0.05), at(0.5), at(0.95)))
-}
-
 /// Mean of a duration series. `None` on an empty series.
 pub fn mean(series: &[Duration]) -> Option<Duration> {
     if series.is_empty() {
@@ -61,24 +37,28 @@ pub fn mean(series: &[Duration]) -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlhub_obs::{exact_quantile, p5_p50_p95};
 
     #[test]
     fn percentiles_ordered() {
         let series: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let (p5, p50, p95) = percentile_summary(&series).unwrap();
-        // round(99 * 0.5) = 50 -> the 51st value of 1..=100.
-        assert_eq!(p50, Duration::from_millis(51));
+        let (p5, p50, p95) = p5_p50_p95(&series).unwrap();
+        // Nearest rank ceil(0.5 * 100) = 50 -> the 50th value of 1..=100.
+        assert_eq!(p50, Duration::from_millis(50));
         assert!(p5 < p50 && p50 < p95);
-        assert_eq!(p5, Duration::from_millis(6));
+        assert_eq!(p5, Duration::from_millis(5));
         assert_eq!(p95, Duration::from_millis(95));
-        assert_eq!(percentile(&series, 0.5), Some(p50));
-        assert_eq!(percentile(&series, 0.0), Some(Duration::from_millis(1)));
-        assert_eq!(percentile(&series, 1.0), Some(Duration::from_millis(100)));
+        assert_eq!(exact_quantile(&series, 0.5), Some(p50));
+        assert_eq!(exact_quantile(&series, 0.0), Some(Duration::from_millis(1)));
+        assert_eq!(
+            exact_quantile(&series, 1.0),
+            Some(Duration::from_millis(100))
+        );
     }
 
     #[test]
     fn single_sample_summary() {
-        let (p5, p50, p95) = percentile_summary(&[Duration::from_millis(7)]).unwrap();
+        let (p5, p50, p95) = p5_p50_p95(&[Duration::from_millis(7)]).unwrap();
         assert_eq!(p5, p50);
         assert_eq!(p50, p95);
     }
@@ -91,8 +71,8 @@ mod tests {
 
     #[test]
     fn empty_series_report_none_consistently() {
-        assert_eq!(percentile_summary(&[]), None);
+        assert_eq!(p5_p50_p95::<Duration>(&[]), None);
         assert_eq!(mean(&[]), None);
-        assert_eq!(percentile(&[], 0.5), None);
+        assert_eq!(exact_quantile::<Duration>(&[], 0.5), None);
     }
 }

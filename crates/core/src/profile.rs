@@ -52,7 +52,7 @@ pub struct ServableProfile {
     /// Smallest overhead ever observed: the uncontended dispatch
     /// floor. Under concurrency the mean overhead is inflated by
     /// queue wait — which is *demand*, not cost — so capacity
-    /// decisions (the Fig 7 knee) must use the floor.
+    /// estimates must use the floor.
     pub overhead_floor: Duration,
     /// Total observations folded into the profile.
     pub samples: u64,
@@ -78,25 +78,6 @@ impl ServableProfile {
         // Solve overhead / (n·inference + overhead) = f for n.
         let n = overhead * (1.0 - f) / (f * inference);
         (n.ceil() as usize).clamp(1, max.max(1))
-    }
-
-    /// Replica count at which dispatch stops being amortizable:
-    /// ceil(inference / dispatch-floor) — the Fig 7 knee. Uses
-    /// [`ServableProfile::overhead_floor`] so queueing delay under
-    /// load (which extra replicas would *remove*) does not masquerade
-    /// as dispatch cost. With a negligible floor the knee is unbounded
-    /// (replicas are pure win up to the budget); with negligible
-    /// inference a single replica already keeps up.
-    pub fn suggested_replicas(&self, max: usize) -> usize {
-        let floor = self.overhead_floor.as_secs_f64();
-        let inference = self.inference.as_secs_f64();
-        if inference <= 0.0 {
-            return 1;
-        }
-        if floor <= 0.0 {
-            return max.max(1);
-        }
-        ((inference / floor).ceil() as usize).clamp(1, max.max(1))
     }
 }
 
@@ -263,17 +244,5 @@ mod tests {
             p.overhead
         );
         assert_eq!(p.overhead_floor, Duration::from_millis(1));
-        // The knee uses the floor: 10ms / 1ms => 10 replicas, not 1.
-        assert_eq!(p.suggested_replicas(32), 10);
-    }
-
-    #[test]
-    fn suggested_replicas_matches_fig7_knee() {
-        // 40ms service / 3ms dispatch ≈ 14 replicas — the paper's ~15.
-        let p = profile(40.0, 3.0);
-        let r = p.suggested_replicas(32);
-        assert!((12..=16).contains(&r), "knee {r}");
-        // Short servables want few replicas.
-        assert_eq!(profile(0.001, 3.0).suggested_replicas(32), 1);
     }
 }

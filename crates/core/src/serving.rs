@@ -774,7 +774,7 @@ impl ManagementService {
 
     /// Live per-servable execution profiles (observed inference and
     /// overhead costs). Drives [`crate::batch::BatchSizing::Adaptive`]
-    /// and [`crate::autoscale::Autoscaler`].
+    /// and the [`crate::autoscale::Reconciler`].
     pub fn profiles(&self) -> &ProfileRegistry {
         &self.profiles
     }
@@ -1535,40 +1535,6 @@ mod tests {
         );
         // Overhead (invocation − inference) is small in-process.
         assert!(profile.overhead < profile.inference);
-    }
-
-    #[test]
-    fn autoscaler_closes_the_loop_over_live_profiles() {
-        use crate::autoscale::{AutoscalePolicy, Autoscaler};
-        let hub = TestHub::builder()
-            .without_eval_servables()
-            .memo(false)
-            .build();
-        hub.publish_simple(
-            "heavy",
-            ModelType::PythonFunction,
-            servable_fn(|v| {
-                std::thread::sleep(Duration::from_millis(10));
-                Ok(v.clone())
-            }),
-        );
-        for i in 0..8 {
-            hub.service
-                .run(&hub.token, "dlhub/heavy", Value::Int(i))
-                .unwrap();
-        }
-        let scaler = Autoscaler::new(
-            hub.service.profiles().clone(),
-            Arc::clone(&hub.parsl),
-            AutoscalePolicy::default(),
-        );
-        let before = hub.parsl.replicas("dlhub/heavy");
-        let decisions = scaler.reconcile();
-        // A 10ms servable behind µs-scale in-process overhead wants
-        // the cap; the decision must reflect the observed profile.
-        assert_eq!(decisions.len(), 1);
-        assert!(decisions[0].desired >= before);
-        assert_eq!(hub.parsl.replicas("dlhub/heavy"), decisions[0].desired);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! token-semaphore claims, reserve-space waits, the RPC pending-reply
 //! table, memo shard locks, read-mostly registry locks — registers a
 //! named [`ContentionSite`] and reports each *actual* wait into it:
-//! a relaxed-atomic wait counter, a total-wait-nanoseconds counter,
-//! and a 64-bucket log2 wait-time histogram (same bucketing as the
-//! metrics registry's latency histograms).
+//! a [`COARSE`] (log2) wait-time histogram whose count and sum are the
+//! wait counter and total wait nanoseconds. Its quantiles come from the
+//! crate's one walk and rank rule ([`crate::hdr`]), rank-interpolated
+//! inside the bucket exactly like the metrics registry's latency
+//! histograms.
 //!
 //! # Cost discipline
 //!
@@ -17,37 +19,26 @@
 //! the wait path touches plain atomics, never the registry map.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::RwLock;
 use serde_json::{json, Value};
 
-/// Histogram buckets (log2 of wait nanoseconds), matching
-/// `metrics::Histogram`.
-const BUCKETS: usize = 64;
+use crate::hdr::{Buckets, COARSE};
 
-fn bucket_index(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1)
-}
-
-/// One named wait point. All fields are relaxed atomics; recording a
-/// wait is three `fetch_add`s.
+/// One named wait point. Recording a wait is one relaxed bucket add
+/// plus count and sum.
 pub struct ContentionSite {
     name: String,
-    waits: AtomicU64,
-    wait_ns: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
+    waits: Buckets,
 }
 
 impl ContentionSite {
     fn new(name: &str) -> Self {
         ContentionSite {
             name: name.to_string(),
-            waits: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            waits: Buckets::new(COARSE),
         }
     }
 
@@ -63,27 +54,21 @@ impl ContentionSite {
 
     /// Record one wait of `ns` nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        self.waits.record(ns);
     }
 
     /// Waits recorded so far.
     pub fn waits(&self) -> u64 {
-        self.waits.load(Ordering::Relaxed)
+        self.waits.count()
     }
 
     /// Point-in-time copy of the site's counters.
     pub fn snapshot(&self) -> ContentionSnapshot {
         ContentionSnapshot {
             name: self.name.clone(),
-            waits: self.waits.load(Ordering::Relaxed),
-            wait_ns: self.wait_ns.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            waits: self.waits.count(),
+            wait_ns: self.waits.sum(),
+            buckets: self.waits.counts(),
         }
     }
 }
@@ -97,8 +82,8 @@ pub struct ContentionSnapshot {
     pub waits: u64,
     /// Total nanoseconds spent waiting.
     pub wait_ns: u64,
-    /// log2 wait histogram: `buckets[i]` counts waits with
-    /// `ns < 2^i` (and at least `2^(i-1)` for `i > 0`).
+    /// [`COARSE`] wait histogram: `buckets[i]` counts waits of bit
+    /// length `i` (`2^(i-1) <= ns < 2^i` for `i > 0`).
     pub buckets: Vec<u64>,
 }
 
@@ -112,21 +97,10 @@ impl ContentionSnapshot {
         }
     }
 
-    /// Upper bound (ns) of the bucket containing quantile `q` in
-    /// `(0, 1]`; `None` when the site never waited.
+    /// Estimated wait (ns) at quantile `q`, rank-interpolated inside
+    /// its log2 bucket; `None` when the site never waited.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.waits == 0 {
-            return None;
-        }
-        let rank = ((self.waits as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(if i >= 63 { u64::MAX } else { 1u64 << i });
-            }
-        }
-        Some(u64::MAX)
+        COARSE.quantile(&self.buckets, q)
     }
 
     /// JSON object for bundles and bench artifacts.
@@ -182,7 +156,7 @@ pub fn render_contention(sites: &[ContentionSnapshot]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<44} {:>10} {:>12} {:>12} {:>12}\n",
-        "site", "waits", "total ms", "mean us", "p99 <= us"
+        "site", "waits", "total ms", "mean us", "p99 us"
     ));
     let mut any = false;
     for site in sites {
@@ -224,11 +198,26 @@ mod tests {
         assert_eq!(snap.waits, 3);
         assert_eq!(snap.wait_ns, 2_020_000);
         assert_eq!(snap.buckets.iter().sum::<u64>(), 3);
-        assert_eq!(snap.buckets[bucket_index(10_000)], 2);
-        assert_eq!(snap.buckets[bucket_index(2_000_000)], 1);
-        // p99 lands in the slowest occupied bucket's upper bound.
-        assert!(snap.quantile_ns(0.99).unwrap() >= 2_000_000);
+        assert_eq!(snap.buckets[COARSE.index(10_000)], 2);
+        assert_eq!(snap.buckets[COARSE.index(2_000_000)], 1);
+        // p99 lands in the slowest occupied bucket.
+        assert_eq!(
+            COARSE.index(snap.quantile_ns(0.99).unwrap()),
+            COARSE.index(2_000_000)
+        );
         assert!(snap.mean_us() > 600.0 && snap.mean_us() < 700.0);
+    }
+
+    #[test]
+    fn p99_is_interpolated_not_a_bucket_bound() {
+        // 100 waits spread over one power-of-two range, [2^20, 2^21).
+        let site = ContentionRegistry::new().site("spread");
+        for i in 0..100u64 {
+            site.record_ns((1 << 20) + i * ((1 << 20) / 100));
+        }
+        let p99 = site.snapshot().quantile_ns(0.99).unwrap();
+        assert!((1 << 20..1 << 21).contains(&p99), "p99={p99}");
+        assert!(!p99.is_power_of_two(), "p99={p99} is a bucket bound");
     }
 
     #[test]

@@ -1,114 +1,243 @@
-//! High-resolution log-linear latency histogram.
+//! The one histogram layout and the one quantile rule of `dlhub-obs`.
 //!
-//! The 64-bucket log2 [`crate::metrics::Histogram`] is the right tool
-//! for always-on hot-path instrumentation (one relaxed `fetch_add`
-//! per bucket, 64 slots to snapshot), but its power-of-two buckets
-//! cannot state an honest p999: every sample between 16 ms and 32 ms
-//! is the same bucket, so the tail quantiles of a distribution that
-//! lives in one decade are pure guesswork. This module trades memory
-//! for resolution the way HdrHistogram does: each power-of-two range
-//! is split into [`HDR_SUB_BUCKETS`] linear sub-buckets, bounding the
-//! relative quantile error at `1 / HDR_SUB_BUCKETS` (~1.6 %) — tight
-//! enough that p999/p9999 read from the histogram agree with an
-//! exact sort of the raw samples to within noise.
+//! Every histogram in the crate buckets its samples with one
+//! log-linear [`Layout`] and reads quantiles through one walk
+//! ([`Layout::quantile`]) under one nearest-rank rule
+//! ([`nearest_rank`]). The layout keeps values below `2^sub_bits`
+//! exact and splits every higher power-of-two range into
+//! `2^(sub_bits-1)` linear slots, the way HdrHistogram does. Each call
+//! site fixes one of two precisions:
 //!
-//! Recording stays lock-free (relaxed atomics), so the open-loop
-//! workload recorder can share one histogram across client threads.
+//! * [`COARSE`] (1 sub-bucket bit) is the classic log2 layout: slot
+//!   `i` holds the values of bit length `i`, so its inclusive upper
+//!   bound is `2^i − 1`. Recording is one relaxed `fetch_add` into 65
+//!   slots plus count and sum, cheap enough for always-on hot-path
+//!   instrumentation: the metrics registry's
+//!   [`crate::metrics::Histogram`]s, the telemetry ring slots behind
+//!   [`crate::WindowHistogram`], and [`crate::ContentionSite`] waits.
+//!   Its in-slot interpolation error can reach a power of two.
+//! * [`FINE`] (6 sub-bucket bits) bounds the typical relative quantile
+//!   error at `1/64` (~1.6 %), so p999/p9999 agree with an exact sort
+//!   of the raw samples to within noise. The open-loop recorder's
+//!   [`HdrHistogram`]s use it.
+//!
+//! Exact quantiles of raw sample sets ([`exact_quantile`],
+//! [`p5_p50_p95`]) use the same rank rule, so a histogram quantile and
+//! an exact-sort quantile of the same samples target the same sample.
+//! Recording stays lock-free (relaxed atomics), so one histogram can
+//! be shared across threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use serde_json::{json, Value};
 
-/// log2 of the linear sub-buckets per power-of-two range.
-pub const HDR_SUB_BITS: u32 = 6;
-
-/// Linear sub-buckets per power-of-two range; also the width of the
-/// exact range `0..HDR_SUB_BUCKETS` at the bottom of the scale.
-pub const HDR_SUB_BUCKETS: u64 = 1 << HDR_SUB_BITS;
-
-/// Half a sub-bucket block: every power-of-two range above the exact
-/// bottom block contributes this many slots.
-const HALF: u64 = HDR_SUB_BUCKETS / 2;
-
-/// Total slots: the exact bottom block plus one half-block per
-/// power-of-two range up to 2^64.
-const SLOTS: usize = (HDR_SUB_BUCKETS + (64 - HDR_SUB_BITS as u64) * HALF) as usize;
-
-/// Slot index for a value: exact below [`HDR_SUB_BUCKETS`], then the
-/// top [`HDR_SUB_BITS`] bits of the value select a linear sub-bucket
-/// inside its power-of-two range.
-fn slot_index(v: u64) -> usize {
-    if v < HDR_SUB_BUCKETS {
-        return v as usize;
-    }
-    let bits = 64 - v.leading_zeros() as u64; // > HDR_SUB_BITS
-    let shift = bits - HDR_SUB_BITS as u64;
-    let top = v >> shift; // in [HALF*2 / 2, HDR_SUB_BUCKETS) == [HALF, 2*HALF)
-    (HDR_SUB_BUCKETS + (shift - 1) * HALF + (top - HALF)) as usize
+/// Log-linear bucket layout over `u64`, parameterised by its number
+/// of sub-bucket bits. Only the [`COARSE`] and [`FINE`] precisions
+/// exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    sub_bits: u32,
 }
 
-/// Inclusive lower bound of a slot.
-fn slot_low(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < HDR_SUB_BUCKETS {
-        return idx;
+/// The log2 layout: slot index = bit length, upper bound `2^i − 1`.
+pub const COARSE: Layout = Layout { sub_bits: 1 };
+
+/// 64 linear sub-buckets per power-of-two range, ~1.6 % resolution.
+pub const FINE: Layout = Layout { sub_bits: 6 };
+
+impl Layout {
+    /// Linear sub-buckets per power-of-two range; also the width of
+    /// the exact range `0..sub_buckets` at the bottom of the scale.
+    pub const fn sub_buckets(self) -> u64 {
+        1 << self.sub_bits
     }
-    let rest = idx - HDR_SUB_BUCKETS;
-    let shift = rest / HALF + 1;
-    let top = HALF + rest % HALF;
-    top << shift
+
+    /// Slots each power-of-two range above the exact bottom block
+    /// contributes.
+    const fn half(self) -> u64 {
+        self.sub_buckets() / 2
+    }
+
+    /// Total slots: the exact bottom block plus one half-block per
+    /// power-of-two range up to 2^64.
+    pub const fn slots(self) -> usize {
+        (self.sub_buckets() + (64 - self.sub_bits as u64) * self.half()) as usize
+    }
+
+    /// Typical relative quantile error: half the widest slot's width
+    /// over its lower bound. A quantile interpolated inside a slot its
+    /// samples spread through stays within it; the worst case (every
+    /// sample on one slot edge) is twice this.
+    pub fn resolution(self) -> f64 {
+        1.0 / self.sub_buckets() as f64
+    }
+
+    /// Slot of `v`: exact below [`sub_buckets`](Self::sub_buckets),
+    /// then the top `sub_bits` bits of the value select a linear slot
+    /// inside its power-of-two range.
+    pub fn index(self, v: u64) -> usize {
+        if v < self.sub_buckets() {
+            return v as usize;
+        }
+        let bits = 64 - v.leading_zeros() as u64; // > sub_bits
+        let shift = bits - self.sub_bits as u64;
+        let top = v >> shift; // in [half, 2 * half)
+        (self.sub_buckets() + (shift - 1) * self.half() + (top - self.half())) as usize
+    }
+
+    /// Inclusive `(low, high)` value bounds of slot `idx`.
+    pub fn bounds(self, idx: usize) -> (u64, u64) {
+        let idx = idx as u64;
+        if idx < self.sub_buckets() {
+            return (idx, idx);
+        }
+        let rest = idx - self.sub_buckets();
+        let shift = rest / self.half() + 1;
+        let low = (self.half() + rest % self.half()) << shift;
+        (low, low | ((1u64 << shift) - 1))
+    }
+
+    /// Inclusive upper bound of slot `idx` (`u64::MAX` for the last).
+    pub fn high(self, idx: usize) -> u64 {
+        self.bounds(idx).1
+    }
+
+    /// The one quantile walk: the sample at [`nearest_rank`] among the
+    /// per-slot `counts`, rank-interpolated inside its slot as if the
+    /// slot's samples spread uniformly across its value range. `None`
+    /// when every count is zero.
+    pub fn quantile(self, counts: &[u64], q: f64) -> Option<u64> {
+        let target = nearest_rank(q, counts.iter().sum());
+        let mut seen = 0u64;
+        counts.iter().enumerate().find_map(|(idx, &n)| {
+            seen += n;
+            (seen >= target).then(|| {
+                let (lo, hi) = self.bounds(idx);
+                let frac = (target + n - seen) as f64 / n as f64;
+                lo + (((hi - lo) as f64 * frac) as u64).min(hi - lo)
+            })
+        })
+    }
 }
 
-/// Inclusive upper bound of a slot.
-fn slot_high(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < HDR_SUB_BUCKETS {
-        return idx;
-    }
-    let rest = idx - HDR_SUB_BUCKETS;
-    let shift = rest / HALF + 1;
-    let top = HALF + rest % HALF;
-    (top << shift) | ((1u64 << shift) - 1)
+/// The one rank rule: the 1-based nearest rank `max(1, ceil(q·n))` of
+/// quantile `q` (clamped to `0.0 ..= 1.0`) among `n` samples.
+pub fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n.max(1))
 }
 
-/// Log-linear histogram: [`HDR_SUB_BUCKETS`] linear sub-buckets per
-/// power-of-two range, relative quantile error ≤ `1/HDR_SUB_BUCKETS`.
-/// Quantiles rank-interpolate inside the slot and clamp to the
-/// recorded min/max, so p0 and p100 are exact.
-pub struct HdrHistogram {
-    slots: Vec<AtomicU64>,
+fn ranked<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    sorted
+        .get(nearest_rank(q, sorted.len() as u64) as usize - 1)
+        .copied()
+}
+
+/// Exact nearest-rank quantile of a raw sample set. `None` when empty.
+pub fn exact_quantile<T: Ord + Copy>(values: &[T], q: f64) -> Option<T> {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    ranked(&sorted, q)
+}
+
+/// `(p5, median, p95)` of a raw sample set by exact sort — the
+/// statistics the paper's error bars show. `None` when empty.
+pub fn p5_p50_p95<T: Ord + Copy>(values: &[T]) -> Option<(T, T, T)> {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    Some((
+        ranked(&sorted, 0.05)?,
+        ranked(&sorted, 0.5)?,
+        ranked(&sorted, 0.95)?,
+    ))
+}
+
+/// Slot-wise activity between two cumulative count snapshots of one
+/// layout, saturating at zero where the baseline ran ahead. A missing
+/// baseline slot counts as zero.
+pub fn counts_since(current: &[u64], baseline: &[u64]) -> Vec<u64> {
+    current
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| c.saturating_sub(baseline.get(i).copied().unwrap_or(0)))
+        .collect()
+}
+
+/// Live per-slot counts under one [`Layout`] plus the running sample
+/// count and sum: the storage every recording histogram shares.
+#[derive(Debug)]
+pub(crate) struct Buckets {
+    layout: Layout,
+    slots: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
+}
+
+impl Buckets {
+    pub(crate) fn new(layout: Layout) -> Self {
+        Buckets {
+            layout,
+            slots: (0..layout.slots()).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+
+    /// Record `v`: one slot add plus count and sum. Returns the slot
+    /// and its count before this sample.
+    pub(crate) fn record(&self, v: u64) -> (usize, u64) {
+        let idx = self.layout.index(v);
+        let seen = self.slots[idx].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        (idx, seen)
+    }
+
+    pub(crate) fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Every slot's count, empty ones included.
+    pub(crate) fn counts(&self) -> Vec<u64> {
+        self.slots
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect()
+    }
+}
+
+/// Histogram that also tracks the exact min and max, so quantiles
+/// clamp to them and p0/p100 are exact.
+pub struct HdrHistogram {
+    buckets: Buckets,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for HdrHistogram {
-    fn default() -> Self {
-        HdrHistogram::new()
-    }
-}
-
 impl HdrHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
+    /// Empty histogram over `layout`.
+    pub fn new(layout: Layout) -> Self {
         HdrHistogram {
-            slots: (0..SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+            buckets: Buckets::new(layout),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Record one sample.
+    /// Record one sample. Min/max only take a read-modify-write when
+    /// the sample actually moves them.
     pub fn record(&self, v: u64) {
-        self.slots[slot_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.buckets.record(v);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration in nanoseconds.
@@ -118,12 +247,12 @@ impl HdrHistogram {
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.count()
     }
 
     /// Sum of all samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.buckets.sum()
     }
 
     /// Largest recorded sample, 0 when empty.
@@ -141,28 +270,15 @@ impl HdrHistogram {
         }
     }
 
-    /// Estimated quantile (`0.0 ..= 1.0`): rank-interpolated inside
-    /// the target slot, clamped to the recorded min/max. `None` when
-    /// empty.
+    fn clamped(&self, counts: &[u64], q: f64) -> Option<u64> {
+        let v = self.buckets.layout.quantile(counts, q)?;
+        Some(v.max(self.min()).min(self.max()))
+    }
+
+    /// Estimated quantile (`0.0 ..= 1.0`) by the layout's walk,
+    /// clamped to the recorded min/max. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let n = slot.load(Ordering::Relaxed);
-            if n > 0 && seen + n >= target {
-                let lo = slot_low(idx);
-                let hi = slot_high(idx);
-                let rank = target - seen;
-                let v = lo + ((hi - lo) as f64 * rank as f64 / n as f64) as u64;
-                return Some(v.clamp(self.min(), self.max()));
-            }
-            seen += n;
-        }
-        Some(self.max())
+        self.clamped(&self.buckets.counts(), q)
     }
 
     /// Point-in-time summary; `None` when no samples were recorded.
@@ -172,17 +288,19 @@ impl HdrHistogram {
             return None;
         }
         let sum = self.sum();
+        let counts = self.buckets.counts();
+        let at = |q: f64| self.clamped(&counts, q).unwrap_or(0);
         Some(HdrSummary {
             count,
             sum,
             mean: sum / count,
             min: self.min(),
             max: self.max(),
-            p50: self.quantile(0.50).unwrap_or(0),
-            p90: self.quantile(0.90).unwrap_or(0),
-            p99: self.quantile(0.99).unwrap_or(0),
-            p999: self.quantile(0.999).unwrap_or(0),
-            p9999: self.quantile(0.9999).unwrap_or(0),
+            p50: at(0.50),
+            p90: at(0.90),
+            p99: at(0.99),
+            p999: at(0.999),
+            p9999: at(0.9999),
         })
     }
 }
@@ -239,64 +357,111 @@ mod tests {
     fn slot_bounds_partition_the_value_axis() {
         // Every slot's range is contiguous with its neighbour's, and
         // the index function maps both bounds back to the slot.
-        for idx in 0..SLOTS - 1 {
-            assert_eq!(slot_index(slot_low(idx)), idx, "low of {idx}");
-            assert_eq!(slot_index(slot_high(idx)), idx, "high of {idx}");
-            assert_eq!(slot_high(idx) + 1, slot_low(idx + 1), "gap at {idx}");
+        for layout in [COARSE, FINE] {
+            for idx in 0..layout.slots() - 1 {
+                let (low, high) = layout.bounds(idx);
+                assert_eq!(layout.index(low), idx, "{layout:?} low of {idx}");
+                assert_eq!(layout.index(high), idx, "{layout:?} high of {idx}");
+                assert_eq!(
+                    high + 1,
+                    layout.bounds(idx + 1).0,
+                    "{layout:?} gap at {idx}"
+                );
+            }
+            assert_eq!(layout.index(u64::MAX), layout.slots() - 1);
+            assert_eq!(layout.high(layout.slots() - 1), u64::MAX);
         }
-        assert_eq!(slot_index(u64::MAX), SLOTS - 1);
+    }
+
+    #[test]
+    fn coarse_is_the_log2_layout() {
+        // Slot index = bit length, inclusive upper bound 2^i − 1.
+        assert_eq!(COARSE.slots(), 65);
+        assert_eq!(COARSE.index(0), 0);
+        assert_eq!(COARSE.high(0), 0);
+        for i in 1..64usize {
+            assert_eq!(COARSE.index(1 << (i - 1)), i);
+            assert_eq!(COARSE.index((1 << i) - 1), i);
+            assert_eq!(COARSE.high(i), (1u64 << i) - 1);
+        }
+        for v in [0u64, 1, 2, 3, 17, 1024, 1 << 40, u64::MAX] {
+            assert_eq!(COARSE.index(v), (u64::BITS - v.leading_zeros()) as usize);
+            assert!(v <= COARSE.high(COARSE.index(v)));
+        }
     }
 
     #[test]
     fn relative_slot_width_is_bounded() {
         // Above the exact range the slot width over its lower bound
-        // never exceeds 1/HALF — the advertised resolution.
-        for v in [100u64, 1_000, 65_535, 1 << 20, (1 << 40) + 12345] {
-            let idx = slot_index(v);
-            let width = slot_high(idx) - slot_low(idx);
-            assert!(
-                (width as f64) / (slot_low(idx) as f64) <= 1.0 / HALF as f64 + 1e-12,
-                "v={v} width={width} low={}",
-                slot_low(idx)
-            );
+        // never exceeds twice the advertised resolution.
+        for layout in [COARSE, FINE] {
+            for v in [100u64, 1_000, 65_535, 1 << 20, (1 << 40) + 12345] {
+                let (low, high) = layout.bounds(layout.index(v));
+                assert!(
+                    ((high - low) as f64) / (low as f64) <= 2.0 * layout.resolution() + 1e-12,
+                    "{layout:?} v={v} low={low} high={high}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn nearest_rank_is_ceil_q_n_at_least_one() {
+        assert_eq!(nearest_rank(0.05, 100), 5);
+        assert_eq!(nearest_rank(0.5, 100), 50);
+        assert_eq!(nearest_rank(0.95, 100), 95);
+        assert_eq!(nearest_rank(0.0, 100), 1);
+        assert_eq!(nearest_rank(1.0, 100), 100);
+        assert_eq!(nearest_rank(0.5, 3), 2);
+        assert_eq!(nearest_rank(0.5, 0), 1);
+        assert_eq!(exact_quantile::<u64>(&[], 0.5), None);
+        assert_eq!(exact_quantile(&[3u64, 1, 2], 0.5), Some(2));
+        assert_eq!(p5_p50_p95(&[7u64]), Some((7, 7, 7)));
     }
 
     #[test]
     fn quantiles_match_an_exact_sort_oracle_within_resolution() {
-        // A deterministic heavy-tailed sample set: quantiles up to
-        // p9999 must track the exact sorted ranks within the
-        // log-linear resolution (~1.6 %), which the log2 histogram
-        // cannot do (its tail error reaches 100 %).
-        let h = HdrHistogram::new();
-        let mut values = Vec::new();
-        let mut x = 88172645463325252u64;
-        for _ in 0..200_000 {
-            // xorshift64 for a seeded spread over several decades.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let v = 1_000 + x % 10_000_000;
-            h.record(v);
-            values.push(v);
+        // A deterministic spread over four decades: quantiles up to
+        // p9999 must track the exact sorted ranks within each layout's
+        // resolution (~1.6 % FINE, 50 % COARSE).
+        for layout in [COARSE, FINE] {
+            let h = HdrHistogram::new(layout);
+            let mut values = Vec::new();
+            let mut x = 88172645463325252u64;
+            for _ in 0..200_000 {
+                // xorshift64 for a seeded spread over several decades.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let v = 1_000 + x % 10_000_000;
+                h.record(v);
+                values.push(v);
+            }
+            for q in [0.5, 0.9, 0.99, 0.999, 0.9999] {
+                let exact = exact_quantile(&values, q).unwrap();
+                let got = h.quantile(q).unwrap();
+                let err = (got as f64 - exact as f64).abs() / exact as f64;
+                assert!(
+                    err <= layout.resolution(),
+                    "{layout:?} q={q} exact={exact} got={got} err={err}"
+                );
+            }
+            let s = h.summary().unwrap();
+            assert_eq!(s.count, 200_000);
+            assert_eq!(s.max, *values.iter().max().unwrap());
+            assert_eq!(s.min, *values.iter().min().unwrap());
         }
-        values.sort_unstable();
-        for q in [0.5, 0.9, 0.99, 0.999, 0.9999] {
-            let rank = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
-            let exact = values[rank];
-            let got = h.quantile(q).unwrap();
-            let err = (got as f64 - exact as f64).abs() / exact as f64;
-            assert!(err <= 0.02, "q={q} exact={exact} got={got} err={err}");
-        }
-        let s = h.summary().unwrap();
-        assert_eq!(s.count, 200_000);
-        assert_eq!(s.max, *values.last().unwrap());
-        assert_eq!(s.min, values[0]);
+    }
+
+    #[test]
+    fn counts_since_subtracts_slot_wise_and_saturates() {
+        assert_eq!(counts_since(&[5, 3, 9], &[2, 4]), vec![3, 0, 9]);
+        assert_eq!(counts_since(&[1, 2], &[]), vec![1, 2]);
     }
 
     #[test]
     fn empty_and_single_sample_edges() {
-        let h = HdrHistogram::new();
+        let h = HdrHistogram::new(FINE);
         assert_eq!(h.quantile(0.5), None);
         assert!(h.summary().is_none());
         assert_eq!(h.min(), 0);
@@ -306,5 +471,6 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(42));
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 42);
+        assert_eq!(COARSE.quantile(&[0; 65], 0.5), None);
     }
 }

@@ -10,6 +10,9 @@
 //!   collector;
 //! * [`metrics`] — named counters/gauges and log2-bucket latency
 //!   histograms over relaxed atomics, with per-servable series;
+//! * [`hdr`] — the one histogram layout (two precisions) and the one
+//!   nearest-rank quantile rule every histogram and exact-sort
+//!   percentile in the workspace uses;
 //! * exposition — [`MetricsSnapshot`] renders Prometheus text, a CLI
 //!   dashboard, and JSON for bench artifacts; [`TraceExport`] renders
 //!   JSON dumps and terminal span trees.
@@ -40,11 +43,10 @@ pub use analyze::{
 };
 pub use collect::{TelemetryHandle, TelemetrySources};
 pub use contention::{render_contention, ContentionRegistry, ContentionSite, ContentionSnapshot};
-pub use hdr::{HdrHistogram, HdrSummary, HDR_SUB_BUCKETS};
+pub use hdr::{exact_quantile, p5_p50_p95, HdrHistogram, HdrSummary, Layout, COARSE, FINE};
 pub use metrics::{
-    bucket_bound, bucket_index, bucket_quantile_value, escape_label, BucketSnapshot, Counter,
-    Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry, ServableSeries,
-    ServableSnapshot,
+    escape_label, BucketSnapshot, Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot,
+    Registry, ServableSeries, ServableSnapshot,
 };
 pub use openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample};
 pub use profile::{CollapsedStack, FrameGuard, ProfileReport, ProfilerHandle, ThreadSamples};

@@ -1,6 +1,11 @@
-//! Metrics registry: named counters, gauges and log-scale histograms,
-//! plus per-servable series covering the paper's three measurement
-//! points (inference / invocation / request, §V-A).
+//! Metrics registry: named counters, gauges and log2 histograms, plus
+//! per-servable series covering the paper's three measurement points
+//! (inference / invocation / request, §V-A).
+//!
+//! Histograms store [`COARSE`] slot counts and read quantiles through
+//! the crate's one walk and rank rule ([`crate::hdr`]), so a live
+//! quantile, a telemetry window quantile and a contention quantile
+//! over the same samples agree.
 //!
 //! Everything on the record path is a relaxed atomic — matching the
 //! contention discipline of the serving hot path — and snapshots are
@@ -14,6 +19,8 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 use serde_json::{json, Value};
+
+use crate::hdr::{counts_since, Buckets, COARSE};
 
 /// Monotonic event counter.
 #[derive(Debug, Default)]
@@ -67,11 +74,6 @@ impl Gauge {
     }
 }
 
-/// Number of log2 buckets. Bucket `i` holds values whose bit length is
-/// `i` (i.e. `2^(i-1) <= v < 2^i`), bucket 0 holds zero, and the last
-/// bucket absorbs everything above `2^62`.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
 /// Recent trace ids retained per bucket ([exemplars]). Slots rotate
 /// with the bucket's own counter, so a bucket remembers its last few
 /// contributing traces without any extra synchronisation.
@@ -79,59 +81,16 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// [exemplars]: Histogram::record_with_exemplar
 pub const EXEMPLAR_SLOTS: usize = 4;
 
-/// Index of the log2 bucket that `v` lands in: `v`'s bit length,
-/// clamped to the last bucket. Shared with the telemetry layer so
-/// windowed histograms merged from ring slots agree bucket-for-bucket
-/// with the live histograms they were sampled from.
-pub fn bucket_index(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-}
-
-/// Inclusive upper bound of a bucket.
-pub fn bucket_bound(idx: usize) -> u64 {
-    if idx == 0 {
-        0
-    } else if idx >= HISTOGRAM_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << idx) - 1
-    }
-}
-
-/// Rank-interpolated quantile estimate inside log2 bucket `idx`: the
-/// value at rank `rank` (1-based) of the bucket's `n` samples,
-/// assuming they spread uniformly across the bucket's value range.
-/// Returning the bucket's *upper bound* instead — the old behaviour —
-/// overestimates the tail by up to 2x (a p999 answered from a
-/// `[2^k, 2^(k+1))` bucket was always reported as `2^(k+1)-1`).
-/// The interpolated value always stays inside the bucket, so it maps
-/// back to `idx` under [`bucket_index`].
-pub fn bucket_quantile_value(idx: usize, rank: u64, n: u64) -> u64 {
-    if idx == 0 {
-        return 0;
-    }
-    let hi = bucket_bound(idx);
-    if idx >= HISTOGRAM_BUCKETS - 1 || n == 0 {
-        // The overflow bucket has no finite width to interpolate over.
-        return hi;
-    }
-    let lo = bucket_bound(idx - 1) + 1;
-    let frac = (rank.min(n)) as f64 / n as f64;
-    lo + ((hi - lo) as f64 * frac) as u64
-}
-
-/// Fixed-bucket log-scale histogram over `u64` samples (nanoseconds
-/// for latencies, raw counts for sizes). Recording is two relaxed
-/// `fetch_add`s plus a bucket increment; quantiles are
-/// rank-interpolated inside the target bucket, so they are exact to
-/// within the in-bucket spread (for honest p999s use the log-linear
+/// Log2 ([`COARSE`]) histogram over `u64` samples (nanoseconds for
+/// latencies, raw counts for sizes), with per-bucket exemplars.
+/// Recording is one bucket add plus count, sum and the optional
+/// exemplar store; quantiles are rank-interpolated inside the target
+/// bucket (for honest p999s use a [`crate::FINE`]
 /// [`crate::HdrHistogram`] instead).
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    exemplars: [[AtomicU64; EXEMPLAR_SLOTS]; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+    buckets: Buckets,
+    exemplars: [[AtomicU64; EXEMPLAR_SLOTS]; COARSE.slots()],
 }
 
 impl Default for Histogram {
@@ -144,10 +103,8 @@ impl Histogram {
     /// Empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: Buckets::new(COARSE),
             exemplars: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
         }
     }
 
@@ -161,10 +118,7 @@ impl Histogram {
     /// count picks the slot, so concurrent writers rotate through the
     /// [`EXEMPLAR_SLOTS`] slots instead of fighting over one.
     pub fn record_with_exemplar(&self, value: u64, trace: u64) {
-        let idx = bucket_index(value);
-        let seen = self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        let (idx, seen) = self.buckets.record(value);
         if trace != 0 {
             self.exemplars[idx][seen as usize % EXEMPLAR_SLOTS].store(trace, Ordering::Relaxed);
         }
@@ -182,34 +136,19 @@ impl Histogram {
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.count()
     }
 
     /// Sum of all samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.buckets.sum()
     }
 
-    /// Estimated quantile (`0.0 ..= 1.0`): rank-interpolated within
-    /// the bucket containing the q-th sample (see
-    /// [`bucket_quantile_value`]), so the estimate is off by at most
-    /// the in-bucket spread rather than a full power of two. `None`
-    /// when empty.
+    /// Estimated quantile (`0.0 ..= 1.0`), rank-interpolated within
+    /// the bucket holding the nearest-rank sample, so the estimate is
+    /// off by at most the in-bucket spread. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed);
-            if n > 0 && seen + n >= target {
-                return Some(bucket_quantile_value(idx, target - seen, n));
-            }
-            seen += n;
-        }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 1))
+        COARSE.quantile(&self.bucket_counts(), q)
     }
 
     /// Point-in-time summary, `None` when no samples were recorded.
@@ -219,52 +158,39 @@ impl Histogram {
             return None;
         }
         let sum = self.sum();
+        let counts = self.bucket_counts();
+        let at = |q: f64| COARSE.quantile(&counts, q).unwrap_or(0);
         Some(HistogramSummary {
             count,
             sum,
-            mean: sum / count.max(1),
-            p50: self.quantile(0.50).unwrap_or(0),
-            p95: self.quantile(0.95).unwrap_or(0),
-            p99: self.quantile(0.99).unwrap_or(0),
+            mean: sum / count,
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
         })
     }
 
-    /// All [`HISTOGRAM_BUCKETS`] cumulative bucket counts, empty ones
-    /// included — the raw form the telemetry collector samples, so a
-    /// per-step histogram stays mergeable by bucket-wise subtraction.
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Non-empty buckets as `(inclusive upper bound, count)` pairs,
-    /// for Prometheus-style cumulative bucket exposition.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((bucket_bound(idx), n))
-            })
-            .collect()
+    /// Every cumulative [`COARSE`] bucket count, empty ones included —
+    /// the raw form the telemetry collector samples, so a per-step
+    /// histogram stays mergeable by bucket-wise subtraction.
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        self.buckets.counts()
     }
 
     /// Non-empty buckets with their retained exemplar trace ids.
     pub fn bucket_snapshots(&self) -> Vec<BucketSnapshot> {
-        self.buckets
-            .iter()
+        self.bucket_counts()
+            .into_iter()
             .enumerate()
-            .filter_map(|(idx, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| BucketSnapshot {
-                    bound: bucket_bound(idx),
-                    count: n,
-                    exemplars: self.exemplars[idx]
-                        .iter()
-                        .map(|slot| slot.load(Ordering::Relaxed))
-                        .filter(|t| *t != 0)
-                        .collect(),
-                })
+            .filter(|&(_, n)| n > 0)
+            .map(|(idx, n)| BucketSnapshot {
+                bound: COARSE.high(idx),
+                count: n,
+                exemplars: self.exemplars[idx]
+                    .iter()
+                    .map(|slot| slot.load(Ordering::Relaxed))
+                    .filter(|t| *t != 0)
+                    .collect(),
             })
             .collect()
     }
@@ -632,6 +558,15 @@ fn secs(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
+/// Prometheus `le` label for an inclusive nanosecond bucket bound.
+fn le_label(bound: u64) -> String {
+    if bound == u64::MAX {
+        "+Inf".to_string()
+    } else {
+        format!("{:.9}", secs(bound))
+    }
+}
+
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
@@ -689,6 +624,14 @@ impl MetricsSnapshot {
                 ..*current
             }
         }
+        /// Sparse request-latency buckets as dense [`COARSE`] counts.
+        fn dense(buckets: &[BucketSnapshot]) -> Vec<u64> {
+            let mut counts = vec![0; COARSE.slots()];
+            for b in buckets {
+                counts[COARSE.index(b.bound)] = b.count;
+            }
+            counts
+        }
         fn opt_summary_delta(
             current: &Option<HistogramSummary>,
             baseline: &Option<HistogramSummary>,
@@ -737,16 +680,12 @@ impl MetricsSnapshot {
                     .iter()
                     .find(|(bn, _)| bn == name)
                     .map(|(_, bs)| bs);
-                let bucket_base = |bound: u64| {
-                    base.map(|b| {
-                        b.request_latency_buckets
-                            .iter()
-                            .find(|bb| bb.bound == bound)
-                            .map(|bb| bb.count)
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0)
-                };
+                let since = counts_since(
+                    &dense(&s.request_latency_buckets),
+                    &base
+                        .map(|b| dense(&b.request_latency_buckets))
+                        .unwrap_or_default(),
+                );
                 let snapshot = ServableSnapshot {
                     requests: s
                         .requests
@@ -762,12 +701,10 @@ impl MetricsSnapshot {
                     request_latency_buckets: s
                         .request_latency_buckets
                         .iter()
-                        .map(|b| BucketSnapshot {
-                            bound: b.bound,
-                            count: b.count.saturating_sub(bucket_base(b.bound)),
-                            exemplars: b.exemplars.clone(),
+                        .filter_map(|b| {
+                            let count = since[COARSE.index(b.bound)];
+                            (count > 0).then(|| BucketSnapshot { count, ..b.clone() })
                         })
-                        .filter(|b| b.count > 0)
                         .collect(),
                     invocation_latency: opt_summary_delta(
                         &s.invocation_latency,
@@ -798,16 +735,10 @@ impl MetricsSnapshot {
                     wait_ns: site
                         .wait_ns
                         .saturating_sub(base.map(|b| b.wait_ns).unwrap_or(0)),
-                    buckets: site
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| {
-                            c.saturating_sub(
-                                base.and_then(|b| b.buckets.get(i).copied()).unwrap_or(0),
-                            )
-                        })
-                        .collect(),
+                    buckets: counts_since(
+                        &site.buckets,
+                        base.map(|b| b.buckets.as_slice()).unwrap_or_default(),
+                    ),
                 }
             })
             .filter(|site| site.waits > 0)
@@ -978,11 +909,7 @@ impl MetricsSnapshot {
             let mut cumulative = 0u64;
             for bucket in &s.request_latency_buckets {
                 cumulative += bucket.count;
-                let le = if bucket.bound == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    format!("{:.9}", secs(bucket.bound))
-                };
+                let le = le_label(bucket.bound);
                 let exemplar = match bucket.exemplars.last() {
                     Some(trace) => {
                         format!(" # {{trace_id=\"{trace:#x}\"}} {:.9}", secs(bucket.bound))
@@ -1057,11 +984,7 @@ impl MetricsSnapshot {
                         continue;
                     }
                     cumulative += count;
-                    let le = if idx >= site.buckets.len() - 1 {
-                        "+Inf".to_string()
-                    } else {
-                        format!("{:.9}", secs((1u64 << idx) - 1))
-                    };
+                    let le = le_label(COARSE.high(idx));
                     out.push_str(&format!(
                         "dlhub_contention_wait_seconds_bucket{{site=\"{name}\",le=\"{le}\"}} {cumulative}\n",
                     ));
@@ -1143,19 +1066,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_index_and_bounds_bracket_values() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        for v in [0u64, 1, 2, 3, 17, 1024, 1 << 40, u64::MAX] {
-            assert!(v <= bucket_bound(bucket_index(v)));
-        }
-    }
-
-    #[test]
     fn histogram_quantiles_are_log2_accurate() {
         let h = Histogram::new();
         assert!(h.summary().is_none());
@@ -1184,19 +1094,17 @@ mod tests {
         // track the sorted-rank oracle closely at every quantile, not
         // just land in the right power-of-two bucket.
         let h = Histogram::new();
-        let mut values: Vec<u64> = (0..4096u64).map(|i| (i * 2_654_435_761) % 60_000).collect();
+        let values: Vec<u64> = (0..4096u64).map(|i| (i * 2_654_435_761) % 60_000).collect();
         for &v in &values {
             h.record(v);
         }
-        values.sort_unstable();
         for q in [0.5, 0.9, 0.99, 0.999] {
-            let rank = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
-            let exact = values[rank];
+            let exact = crate::hdr::exact_quantile(&values, q).unwrap();
             let got = h.quantile(q).unwrap();
             // Same bucket as the oracle, and within the in-bucket
             // uniform-spread error (far tighter than the 2x the old
             // bucket-bound estimate allowed).
-            assert_eq!(bucket_index(got), bucket_index(exact), "q={q}");
+            assert_eq!(COARSE.index(got), COARSE.index(exact), "q={q}");
             let err = (got as f64 - exact as f64).abs() / exact.max(1) as f64;
             assert!(err < 0.35, "q={q} exact={exact} got={got}");
         }
@@ -1445,7 +1353,7 @@ mod tests {
         assert_eq!(name, "h");
         let buckets = h.bucket_counts();
         assert_eq!(buckets.iter().sum::<u64>(), 1);
-        assert_eq!(buckets[bucket_index(5)], 1);
+        assert_eq!(buckets[COARSE.index(5)], 1);
         assert_eq!(reg.servable_entries()[0].1.requests.get(), 1);
     }
 

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use serde_json::{json, Value};
 
-use crate::hdr::{HdrHistogram, HdrSummary};
+use crate::hdr::{HdrHistogram, HdrSummary, FINE};
 
 /// One recorded request: schedule stamp, pickup stamp, completion
 /// stamp (all nanosecond offsets from the harness epoch) and the
@@ -63,7 +63,6 @@ impl OpenLoopSample {
 /// Thread-safe recorder for one open-loop run: corrected and
 /// uncorrected [`HdrHistogram`]s plus the raw per-request samples
 /// (kept for trace-level tail attribution).
-#[derive(Default)]
 pub struct OpenLoopRecorder {
     corrected: HdrHistogram,
     uncorrected: HdrHistogram,
@@ -71,10 +70,21 @@ pub struct OpenLoopRecorder {
     samples: Mutex<Vec<OpenLoopSample>>,
 }
 
+impl Default for OpenLoopRecorder {
+    fn default() -> Self {
+        OpenLoopRecorder::new()
+    }
+}
+
 impl OpenLoopRecorder {
     /// Empty recorder.
     pub fn new() -> Self {
-        OpenLoopRecorder::default()
+        OpenLoopRecorder {
+            corrected: HdrHistogram::new(FINE),
+            uncorrected: HdrHistogram::new(FINE),
+            backlog: HdrHistogram::new(FINE),
+            samples: Mutex::new(Vec::new()),
+        }
     }
 
     /// Record one completed request. Since `intended_ns <=

@@ -10,9 +10,10 @@
 //! than coarser quantisation: a 60×-step slot is overwritten 60 times
 //! and ends up holding the cumulative value at its tier boundary.
 //! That keeps counter deltas rate-correct across any `[from, to]`
-//! pair (no averaging artifacts) and keeps log2 histograms mergeable
-//! by bucket-wise subtraction — a windowed p99 is computed from real
-//! bucket counts, not from re-aggregated quantiles.
+//! pair (no averaging artifacts) and keeps [`COARSE`] (log2) histograms
+//! mergeable by bucket-wise subtraction ([`counts_since`]) — a windowed
+//! p99 is computed from real bucket counts by the crate's one quantile
+//! walk, not from re-aggregated quantiles.
 //!
 //! # Memory ordering
 //!
@@ -35,7 +36,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use serde_json::{json, Value};
 
-use crate::metrics::{bucket_bound, bucket_quantile_value, HISTOGRAM_BUCKETS};
+use crate::hdr::{counts_since, COARSE};
 
 /// One resolution tier: one sample slot per `step`, `capacity` slots
 /// before the ring wraps.
@@ -80,7 +81,7 @@ pub enum SeriesKind {
     Counter,
     /// Instantaneous level; slots aggregate last/min/max/sum/n.
     Gauge,
-    /// Log2 histogram; slots hold cumulative count/sum/buckets.
+    /// [`COARSE`] histogram; slots hold cumulative count/sum/buckets.
     Histogram,
 }
 
@@ -132,7 +133,7 @@ const READ_RETRIES: usize = 8;
 impl Slot {
     fn new(bucketed: bool) -> Self {
         let buckets: Box<[AtomicU64]> = if bucketed {
-            (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect()
+            (0..COARSE.slots()).map(|_| AtomicU64::new(0)).collect()
         } else {
             Box::default()
         };
@@ -300,38 +301,25 @@ pub struct GaugeWindow {
     pub samples: u64,
 }
 
-/// A log2 histogram merged over a query window by bucket-wise
-/// subtraction of cumulative ring slots. Bucket bounds are shared with
-/// the live [`crate::metrics::Histogram`]s.
+/// A [`COARSE`] histogram merged over a query window by bucket-wise
+/// subtraction of cumulative ring slots. Buckets are the live
+/// [`crate::metrics::Histogram`]s' buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowHistogram {
     /// Samples recorded inside the window.
     pub count: u64,
     /// Sum of samples recorded inside the window.
     pub sum: u64,
-    /// Per-bucket counts inside the window ([`HISTOGRAM_BUCKETS`]).
+    /// Per-bucket [`COARSE`] counts inside the window.
     pub buckets: Vec<u64>,
 }
 
 impl WindowHistogram {
-    /// Estimated quantile over the window, rank-interpolated inside
-    /// the target bucket exactly like the live
-    /// [`crate::metrics::Histogram`] (see
-    /// [`crate::metrics::bucket_quantile_value`]). `None` when the
-    /// window is empty.
+    /// Estimated quantile over the window by the same walk as the
+    /// live [`crate::metrics::Histogram`]. `None` when the window is
+    /// empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            if n > 0 && seen + n >= target {
-                return Some(bucket_quantile_value(idx, target - seen, n));
-            }
-            seen += n;
-        }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 1))
+        COARSE.quantile(&self.buckets, q)
     }
 
     /// Mean sample over the window; `None` when empty.
@@ -553,7 +541,8 @@ impl SeriesStore {
     }
 
     /// Histogram activity inside the trailing `window`, merged from
-    /// cumulative ring slots by bucket-wise saturating subtraction.
+    /// cumulative ring slots by bucket-wise saturating subtraction
+    /// ([`counts_since`]).
     /// `None` for non-histograms or when the window holds no slots.
     pub fn histogram_window(&self, name: &str, window: Duration) -> Option<WindowHistogram> {
         let (kind, _step_ns, slots, baseline) = self.window_slots(name, window)?;
@@ -562,20 +551,13 @@ impl SeriesStore {
         }
         let last = slots.last()?;
         let (bcount, bsum) = baseline.as_ref().map(|b| (b.a, b.b)).unwrap_or((0, 0));
-        let buckets = last
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                n.saturating_sub(
-                    baseline
-                        .as_ref()
-                        .and_then(|b| b.buckets.get(i))
-                        .copied()
-                        .unwrap_or(0),
-                )
-            })
-            .collect();
+        let buckets = counts_since(
+            &last.buckets,
+            baseline
+                .as_ref()
+                .map(|b| b.buckets.as_slice())
+                .unwrap_or_default(),
+        );
         Some(WindowHistogram {
             count: last.a.saturating_sub(bcount),
             sum: last.b.saturating_sub(bsum),
@@ -911,14 +893,14 @@ mod tests {
     #[test]
     fn histogram_windows_merge_by_bucket_subtraction() {
         let store = SeriesStore::with_tiers(tiny_tiers());
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        let mut buckets = [0u64; COARSE.slots()];
         let mut count = 0u64;
         let mut sum = 0u64;
         // Step 0: 10 samples of value 100; steps 1-3: add 5 samples of
         // value 1000 each step.
         let mut record = |store: &SeriesStore, step: u64, v: u64, n: u64| {
             for _ in 0..n {
-                buckets[crate::metrics::bucket_index(v)] += 1;
+                buckets[COARSE.index(v)] += 1;
                 count += 1;
                 sum += v;
             }
@@ -939,11 +921,7 @@ mod tests {
         // All windowed samples are 1000: the interpolated p50 must
         // land inside 1000's log2 bucket (not pinned to its bound).
         let p50 = w.quantile(0.5).unwrap();
-        assert_eq!(
-            crate::metrics::bucket_index(p50),
-            crate::metrics::bucket_index(1000),
-            "{p50}"
-        );
+        assert_eq!(COARSE.index(p50), COARSE.index(1000), "{p50}");
         assert_eq!(w.mean(), Some(1000));
         // Full-history window has no baseline: everything counts.
         let all = store
@@ -977,7 +955,7 @@ mod tests {
                 store.record_counter("b.counter", step * S, step * 7);
                 store.record_gauge("a.gauge", step * S, step as f64 / 3.0);
                 let buckets = {
-                    let mut b = [0u64; HISTOGRAM_BUCKETS];
+                    let mut b = [0u64; COARSE.slots()];
                     b[5] = step;
                     b
                 };
@@ -1039,8 +1017,8 @@ mod tests {
     #[test]
     fn control_signals_read_the_conventional_names() {
         let store = Arc::new(SeriesStore::with_tiers(tiny_tiers()));
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        buckets[crate::metrics::bucket_index(1 << 20)] = 4;
+        let mut buckets = [0u64; COARSE.slots()];
+        buckets[COARSE.index(1 << 20)] = 4;
         for step in 0..4u64 {
             store.record_counter(
                 &servable_series("dlhub/echo", "requests"),

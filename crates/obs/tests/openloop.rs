@@ -3,7 +3,7 @@
 //! every request, individually and at every quantile, and the HDR
 //! histogram honours the exact-sort oracle under random loads.
 
-use dlhub_obs::{HdrHistogram, OpenLoopRecorder, OpenLoopSample};
+use dlhub_obs::{exact_quantile, HdrHistogram, OpenLoopRecorder, OpenLoopSample, FINE};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,19 +45,17 @@ proptest! {
     /// log-linear resolution for arbitrary sample sets.
     #[test]
     fn hdr_quantiles_track_exact_sort(
-        mut values in proptest::collection::vec(1u64..100_000_000_000, 10..400),
+        values in proptest::collection::vec(1u64..100_000_000_000, 10..400),
         q_idx in 0usize..4,
     ) {
         let q = [0.5f64, 0.9, 0.99, 0.999][q_idx];
-        let h = HdrHistogram::new();
+        let h = HdrHistogram::new(FINE);
         for &v in &values {
             h.record(v);
         }
-        values.sort_unstable();
-        let rank = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
-        let exact = values[rank];
+        let exact = exact_quantile(&values, q).unwrap();
         let got = h.quantile(q).unwrap();
-        let tolerance = (exact as f64 / dlhub_obs::HDR_SUB_BUCKETS as f64 * 2.0).max(1.0);
+        let tolerance = (exact as f64 / FINE.sub_buckets() as f64 * 2.0).max(1.0);
         prop_assert!(
             (got as f64 - exact as f64).abs() <= tolerance,
             "q={} exact={} got={}", q, exact, got

@@ -4,22 +4,11 @@
 
 use std::time::Duration;
 
-use dlhub_obs::{bucket_bound, bucket_index, Obs, SeriesStore, TierSpec};
+use dlhub_obs::{exact_quantile, Obs, SeriesStore, TierSpec, COARSE};
 use proptest::prelude::*;
 
 const S: u64 = 1_000_000_000;
-const BUCKETS: usize = dlhub_obs::metrics::HISTOGRAM_BUCKETS;
-
-/// Exact-sort oracle: the value at the exact rank the windowed
-/// quantile targets.
-fn oracle_quantile(values: &mut [u64], q: f64) -> Option<u64> {
-    if values.is_empty() {
-        return None;
-    }
-    values.sort_unstable();
-    let target = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
-    Some(values[target])
-}
+const BUCKETS: usize = COARSE.slots();
 
 proptest! {
     /// Feed random latency batches through cumulative ring slots, then
@@ -49,7 +38,7 @@ proptest! {
         let baseline_steps = 1usize; // batch 0 falls outside the window
         for (step, batch) in batches.iter().enumerate() {
             for &v in batch {
-                cum_buckets[bucket_index(v)] += 1;
+                cum_buckets[COARSE.index(v)] += 1;
                 cum_count += 1;
                 cum_sum += v;
                 if step >= baseline_steps {
@@ -65,15 +54,16 @@ proptest! {
         let merged = store.histogram_window("lat", window).unwrap();
         prop_assert_eq!(merged.count as usize, window_values.len());
         let got = merged.quantile(q);
-        let exact = oracle_quantile(&mut window_values, q);
+        // Exact-sort oracle: the value at the rank the window targets.
+        let exact = exact_quantile(&window_values, q);
         prop_assert_eq!(got.is_some(), exact.is_some());
         if let (Some(got), Some(exact)) = (got, exact) {
             prop_assert_eq!(
-                bucket_index(got),
-                bucket_index(exact),
+                COARSE.index(got),
+                COARSE.index(exact),
                 "q={} got={} exact={}", q, got, exact
             );
-            prop_assert!(got <= bucket_bound(bucket_index(exact)));
+            prop_assert!(got <= COARSE.high(COARSE.index(exact)));
         }
     }
 

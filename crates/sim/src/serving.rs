@@ -399,16 +399,6 @@ pub fn slo_attainment(samples: &[RequestSample], threshold: SimTime) -> f64 {
     good as f64 / samples.len() as f64
 }
 
-/// Median, 5th and 95th percentile of a timing series, in the order
-/// `(p5, median, p95)`.
-pub fn percentiles(values: &[SimTime]) -> (SimTime, SimTime, SimTime) {
-    assert!(!values.is_empty());
-    let mut sorted: Vec<SimTime> = values.to_vec();
-    sorted.sort();
-    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    (at(0.05), at(0.5), at(0.95))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,7 +574,7 @@ mod tests {
         let b = p.run_sequential(&servable(), 100, false, true, 7);
         assert_eq!(a, b);
         let requests: Vec<SimTime> = a.iter().map(|s| s.request).collect();
-        let (p5, p50, p95) = percentiles(&requests);
+        let (p5, p50, p95) = dlhub_obs::p5_p50_p95(&requests).unwrap();
         assert!(p5 <= p50 && p50 <= p95);
         assert!(p95 > p5, "jitter must spread the distribution");
     }
@@ -613,7 +603,7 @@ mod tests {
     #[test]
     fn percentiles_of_constant_series() {
         let series = vec![SimTime::from_millis(3.0); 10];
-        let (p5, p50, p95) = percentiles(&series);
+        let (p5, p50, p95) = dlhub_obs::p5_p50_p95(&series).unwrap();
         assert_eq!(p5, p50);
         assert_eq!(p50, p95);
     }

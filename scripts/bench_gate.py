@@ -216,152 +216,106 @@ def check_broker(ratio):
     )
 
 
-def check_overhead():
+# The enabled/disabled A/Bs the hotpath bench embeds in
+# BENCH_hotpath.json, one row per --check name. Every row is held to
+# the same OVERHEAD_GATE_RATIO throughput floor, then to its own
+# activity requirements: (predicate over the A/B object and the whole
+# artifact, failure message formatted with the A/B object's fields).
+AB_CHECKS = {
+    "overhead": {
+        "key": "overhead",
+        "label": "profiler overhead",
+        "regenerate": "the profiler A/B",
+        "requires": [
+            (
+                lambda ab, doc: ab.get("profiler_samples", 0) > 0,
+                "overhead A/B recorded no profiler samples — "
+                "the enabled side was not actually profiling",
+            ),
+        ],
+        "detail": lambda ab, doc: "{} samples @ {} Hz".format(
+            ab.get("profiler_samples", 0), ab.get("profile_hz", 0)
+        ),
+    },
+    "telemetry": {
+        "key": "telemetry_overhead",
+        "label": "telemetry overhead",
+        "regenerate": "the collector A/B",
+        "requires": [
+            (
+                lambda ab, doc: ab.get("telemetry_samples", 0) > 0,
+                "telemetry A/B took no sampling passes — "
+                "the enabled side was not actually collecting",
+            ),
+            (
+                lambda ab, doc: bool((doc.get("telemetry") or {}).get("series")),
+                "committed BENCH_hotpath.json telemetry export "
+                "has no series; the time axis is missing",
+            ),
+        ],
+        "detail": lambda ab, doc: "{} passes, {} series exported".format(
+            ab.get("telemetry_samples", 0),
+            len((doc.get("telemetry") or {}).get("series", [])),
+        ),
+    },
+    "control": {
+        "key": "autoscale_overhead",
+        "label": "control-loop overhead",
+        "regenerate": "the control-loop A/B",
+        "requires": [
+            (
+                lambda ab, doc: ab.get("admitted", 0) > 0,
+                "control A/B admitted no requests — admission "
+                "was not actually on the request path",
+            ),
+            (
+                lambda ab, doc: ab.get("shed", 0) == 0,
+                "control A/B shed {shed} requests on an uncontended "
+                "bench load — the admission thresholds are miscalibrated",
+            ),
+            (
+                lambda ab, doc: ab.get("scaling_decisions", 0) == 0,
+                "control A/B applied {scaling_decisions} scaling decisions "
+                "under a pinned min==max policy — the A/B measured "
+                "capacity changes, not steady-state overhead",
+            ),
+        ],
+        "detail": lambda ab, doc: "{} admitted, 0 shed".format(ab.get("admitted", 0)),
+    },
+}
+
+
+def check_ab(name):
+    case = AB_CHECKS[name]
     floor = float(os.environ.get("OVERHEAD_GATE_RATIO", "0.95"))
     if floor <= 0:
-        print("bench gate: overhead gate disabled (OVERHEAD_GATE_RATIO<=0)")
+        print("bench gate: {} gate disabled (OVERHEAD_GATE_RATIO<=0)".format(name))
         return
     committed = load("BENCH_hotpath.json")
     if committed is None:
-        print("bench gate: no committed BENCH_hotpath.json; skipping overhead")
+        print("bench gate: no committed BENCH_hotpath.json; skipping {}".format(name))
         return
-    overhead = committed.get("overhead")
-    if overhead is None:
+    ab = committed.get(case["key"])
+    if ab is None:
         sys.exit(
-            "bench gate: committed BENCH_hotpath.json has no overhead "
-            "object; regenerate with the profiler A/B"
+            "bench gate: committed BENCH_hotpath.json has no {} object; "
+            "regenerate with {}".format(case["key"], case["regenerate"])
         )
-    ratio = overhead.get("enabled_over_disabled", 0.0)
+    ratio = ab.get("enabled_over_disabled", 0.0)
+    disabled = ab.get("disabled_req_per_s", 0.0)
+    enabled = ab.get("enabled_req_per_s", 0.0)
     if ratio < floor:
         sys.exit(
-            "bench gate: profiler overhead — enabled {:.0f} req/s vs "
-            "disabled {:.0f} (ratio {:.3f} < floor {})".format(
-                overhead.get("enabled_req_per_s", 0.0),
-                overhead.get("disabled_req_per_s", 0.0),
-                ratio,
-                floor,
-            )
+            "bench gate: {} — enabled {:.0f} req/s vs disabled {:.0f} "
+            "(ratio {:.3f} < floor {})".format(case["label"], enabled, disabled, ratio, floor)
         )
-    if overhead.get("profiler_samples", 0) <= 0:
-        sys.exit(
-            "bench gate: overhead A/B recorded no profiler samples — "
-            "the enabled side was not actually profiling"
-        )
+    for ok, message in case["requires"]:
+        if not ok(ab, committed):
+            sys.exit("bench gate: " + message.format(**ab))
     print(
-        "bench gate: profiler overhead within bound ({:.0f} → {:.0f} "
-        "req/s, ratio {:.3f} >= {}, {} samples @ {} Hz)".format(
-            overhead.get("disabled_req_per_s", 0.0),
-            overhead.get("enabled_req_per_s", 0.0),
-            ratio,
-            floor,
-            overhead.get("profiler_samples", 0),
-            overhead.get("profile_hz", 0),
-        )
-    )
-
-
-def check_telemetry():
-    floor = float(os.environ.get("OVERHEAD_GATE_RATIO", "0.95"))
-    if floor <= 0:
-        print("bench gate: telemetry gate disabled (OVERHEAD_GATE_RATIO<=0)")
-        return
-    committed = load("BENCH_hotpath.json")
-    if committed is None:
-        print("bench gate: no committed BENCH_hotpath.json; skipping telemetry")
-        return
-    overhead = committed.get("telemetry_overhead")
-    if overhead is None:
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json has no "
-            "telemetry_overhead object; regenerate with the collector A/B"
-        )
-    ratio = overhead.get("enabled_over_disabled", 0.0)
-    if ratio < floor:
-        sys.exit(
-            "bench gate: telemetry overhead — enabled {:.0f} req/s vs "
-            "disabled {:.0f} (ratio {:.3f} < floor {})".format(
-                overhead.get("enabled_req_per_s", 0.0),
-                overhead.get("disabled_req_per_s", 0.0),
-                ratio,
-                floor,
-            )
-        )
-    if overhead.get("telemetry_samples", 0) <= 0:
-        sys.exit(
-            "bench gate: telemetry A/B took no sampling passes — "
-            "the enabled side was not actually collecting"
-        )
-    export = committed.get("telemetry")
-    if not export or not export.get("series"):
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json telemetry export "
-            "has no series; the time axis is missing"
-        )
-    print(
-        "bench gate: telemetry overhead within bound ({:.0f} → {:.0f} "
-        "req/s, ratio {:.3f} >= {}, {} passes, {} series exported)".format(
-            overhead.get("disabled_req_per_s", 0.0),
-            overhead.get("enabled_req_per_s", 0.0),
-            ratio,
-            floor,
-            overhead.get("telemetry_samples", 0),
-            len(export.get("series", [])),
-        )
-    )
-
-
-def check_control():
-    floor = float(os.environ.get("OVERHEAD_GATE_RATIO", "0.95"))
-    if floor <= 0:
-        print("bench gate: control gate disabled (OVERHEAD_GATE_RATIO<=0)")
-        return
-    committed = load("BENCH_hotpath.json")
-    if committed is None:
-        print("bench gate: no committed BENCH_hotpath.json; skipping control")
-        return
-    overhead = committed.get("autoscale_overhead")
-    if overhead is None:
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json has no "
-            "autoscale_overhead object; regenerate with the control-loop A/B"
-        )
-    ratio = overhead.get("enabled_over_disabled", 0.0)
-    if ratio < floor:
-        sys.exit(
-            "bench gate: control-loop overhead — enabled {:.0f} req/s vs "
-            "disabled {:.0f} (ratio {:.3f} < floor {})".format(
-                overhead.get("enabled_req_per_s", 0.0),
-                overhead.get("disabled_req_per_s", 0.0),
-                ratio,
-                floor,
-            )
-        )
-    if overhead.get("admitted", 0) <= 0:
-        sys.exit(
-            "bench gate: control A/B admitted no requests — admission "
-            "was not actually on the request path"
-        )
-    if overhead.get("shed", 0) != 0:
-        sys.exit(
-            "bench gate: control A/B shed {} requests on an uncontended "
-            "bench load — the admission thresholds are miscalibrated".format(
-                overhead.get("shed", 0)
-            )
-        )
-    if overhead.get("scaling_decisions", 0) != 0:
-        sys.exit(
-            "bench gate: control A/B applied {} scaling decisions under a "
-            "pinned min==max policy — the A/B measured capacity changes, "
-            "not steady-state overhead".format(overhead.get("scaling_decisions", 0))
-        )
-    print(
-        "bench gate: control-loop overhead within bound ({:.0f} → {:.0f} "
-        "req/s, ratio {:.3f} >= {}, {} admitted, 0 shed)".format(
-            overhead.get("disabled_req_per_s", 0.0),
-            overhead.get("enabled_req_per_s", 0.0),
-            ratio,
-            floor,
-            overhead.get("admitted", 0),
+        "bench gate: {} within bound ({:.0f} → {:.0f} req/s, ratio {:.3f} "
+        ">= {}, {})".format(
+            case["label"], disabled, enabled, ratio, floor, case["detail"](ab, committed)
         )
     )
 
@@ -484,12 +438,9 @@ def main():
         default="all",
     )
     opts = parser.parse_args()
-    if opts.check in ("overhead", "all"):
-        check_overhead()
-    if opts.check in ("telemetry", "all"):
-        check_telemetry()
-    if opts.check in ("control", "all"):
-        check_control()
+    for name in AB_CHECKS:
+        if opts.check in (name, "all"):
+            check_ab(name)
     if opts.check in ("workloads", "all"):
         check_workloads()
     ratio = float(os.environ.get("BENCH_GATE_RATIO", "0.25"))

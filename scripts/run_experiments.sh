@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release --bins
 
 EXPERIMENTS=(table1 table2 fig3 fig4 fig5 fig6 fig7 fig8
-             ablation_batching ablation_autoscale ablation_pipeline
+             ablation_batching ablation_pipeline
              ablation_multitm ablation_memo ablation_fig7_real ablation_fig8_real)
 
 log=$(mktemp)
